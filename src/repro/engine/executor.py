@@ -285,7 +285,7 @@ class ExecutionEngine:
         an in-flight statement; None falls back to the live map.
         ``heat`` is the workload tracker's per-statement sample carrier
         (``WorkloadIntelligence.begin_statement``): when present, each
-        completed unit reports its wall time, cursor and row count to
+        completed unit reports its wall time, storage result and row count to
         ``heat.unit_done`` for shard-heat accounting. None (the unsampled
         majority) costs one comparison per unit.
         """
@@ -337,7 +337,7 @@ class ExecutionEngine:
                     is_query=is_query,
                     pinned=pinned,
                     deadline=deadline,
-                    span=span,
+                    spans=(span,) if span is not None else (),
                 )
                 result.modes[unit.data_source] = ConnectionMode.CONNECTION_STRICTLY
                 if is_query:
@@ -345,16 +345,16 @@ class ExecutionEngine:
                     if span is not None:
                         span.attributes["rows"] = len(rows)
                     if heat is not None:
-                        heat.unit_done(unit, time.perf_counter() - t0, cursor, len(rows))
+                        heat.unit_done(
+                            unit, time.perf_counter() - t0, cursor.result, len(rows))
                     result.results.append(MaterializedResult(cursor.columns, rows))
                 else:
                     result.update_count += max(cursor.rowcount, 0)
                     if span is not None:
                         span.attributes["rows"] = max(cursor.rowcount, 0)
                     if heat is not None:
-                        heat.unit_done(
-                            unit, time.perf_counter() - t0, cursor, max(cursor.rowcount, 0)
-                        )
+                        heat.unit_done(unit, time.perf_counter() - t0, cursor.result,
+                                       max(cursor.rowcount, 0))
                 self.metrics.statements += 1
                 return result
             source = self._source(unit.data_source, sources_map)
@@ -376,7 +376,8 @@ class ExecutionEngine:
             try:
                 cursor = self._run_attempts(
                     unit.data_source, attempt_single,
-                    is_query=is_query, pinned=None, deadline=deadline, span=span,
+                    is_query=is_query, pinned=None, deadline=deadline,
+                    spans=(span,) if span is not None else (),
                 )
             except BaseException:
                 if holder[0] is not None:
@@ -391,14 +392,15 @@ class ExecutionEngine:
                     rows = cursor.fetchall()
                     span.attributes["rows"] = len(rows)
                     if heat is not None:
-                        heat.unit_done(unit, time.perf_counter() - t0, cursor, len(rows))
+                        heat.unit_done(
+                            unit, time.perf_counter() - t0, cursor.result, len(rows))
                     result.results.append(MaterializedResult(cursor.columns, rows))
                     source.pool.release(connection)
                 else:
                     # streaming: the row count is unknown until the caller
                     # drains the merged iterator (rows=-1 → sink fills it in)
                     if heat is not None:
-                        heat.unit_done(unit, time.perf_counter() - t0, cursor, -1)
+                        heat.unit_done(unit, time.perf_counter() - t0, cursor.result, -1)
                     result.results.append(cursor)
                     result.finalizers.append(lambda: source.pool.release(connection))
             else:
@@ -406,9 +408,8 @@ class ExecutionEngine:
                 if span is not None:
                     span.attributes["rows"] = max(cursor.rowcount, 0)
                 if heat is not None:
-                    heat.unit_done(
-                        unit, time.perf_counter() - t0, cursor, max(cursor.rowcount, 0)
-                    )
+                    heat.unit_done(unit, time.perf_counter() - t0, cursor.result,
+                                   max(cursor.rowcount, 0))
                 source.pool.release(connection)
             self.metrics.statements += 1
             return result
@@ -679,17 +680,18 @@ class ExecutionEngine:
         is_query: bool,
         pinned: Connection | None,
         deadline: float | None,
-        span: "Span | None" = None,
+        spans: "Sequence[Span]" = (),
     ) -> Any:
-        """Run one execution unit under the resilience policy.
+        """Run one execution unit (or one pinned batch) under the
+        resilience policy.
 
         ``attempt`` performs a full attempt (including any connection
-        (re-)acquisition) and returns the cursor. Retries apply only to
+        (re-)acquisition) and returns its outcome. Retries apply only to
         transient errors, within the deadline budget, and never to writes
-        on a pinned (in-transaction) connection. The unit's storage span,
-        when present, is finished here — retries become span events and a
-        final ``retries`` attribute; a terminal failure closes it with the
-        error attached.
+        on a pinned (in-transaction) connection. The storage spans of the
+        attempted units are finished here — retries become span events
+        and a final ``retries`` attribute; a terminal failure closes them
+        with the error attached.
         """
         policy = self.resilience
         attempt_no = 0
@@ -722,7 +724,7 @@ class ExecutionEngine:
                     self.metrics.retries += 1
                     self.metrics.bump(source_name, "retries")
                     self._emit("retry", data_source=source_name, attempt=attempt_no, error=exc)
-                    if span is not None:
+                    for span in spans:
                         span.add_event(
                             "retry", attempt=attempt_no, error=type(exc).__name__
                         )
@@ -735,13 +737,13 @@ class ExecutionEngine:
                         time.sleep(delay)
                     continue
                 self._record_outcome(source_name, ok=True)
-                if span is not None:
+                for span in spans:
                     if attempt_no:
                         span.attributes["retries"] = attempt_no
                     span.finish()
                 return value
         except BaseException as terminal:
-            if span is not None:
+            for span in spans:
                 if attempt_no:
                     span.attributes["retries"] = attempt_no
                 span.finish(error=terminal)
@@ -771,33 +773,48 @@ class ExecutionEngine:
         spans: "dict[int, Span] | None" = None,
         heat: Any = None,
     ) -> tuple[list[ShardResult], int]:
-        """Transactional path: all units run serially on the pinned connection."""
+        """Transactional path: the group's units run in order on the pinned
+        connection as one storage round trip.
+
+        :meth:`Connection.execute_pipeline` pays the batch's simulated I/O
+        in one sleep per distinct written table plus one for all reads; a
+        fan-out's units touch distinct tables, so the priced cost equals
+        the per-unit total. Resilience applies per batch: one deadline
+        check, breaker admission and outcome per attempt; a read batch on
+        a connection that survived a transient fault is retried whole,
+        and a write batch never is (the transaction's undo covers the
+        units that ran). Spans and heat are still attributed per unit,
+        each from its own :class:`QueryResult`.
+        """
+        ds_name = group[0].data_source
+        unit_spans = [] if spans is None else [spans[id(unit)] for unit in group]
+        statements = [(unit.statement, unit.params) for unit in group]
+        t0 = time.perf_counter() if heat is not None else 0.0
+        raw = self._run_attempts(
+            ds_name, lambda: connection.execute_pipeline(statements),
+            is_query=is_query, pinned=connection, deadline=deadline, spans=unit_spans,
+        )
+        # a batch has no per-unit wall time: each unit gets an equal share
+        wall = (time.perf_counter() - t0) / len(group) if heat is not None else 0.0
+        self.metrics.pipeline_batches += 1
+        self.metrics.pipelined_statements += len(group)
         results: list[ShardResult] = []
         update_count = 0
-        for unit in group:
-            span = spans.get(id(unit)) if spans is not None else None
-            t0 = time.perf_counter() if heat is not None else 0.0
-            cursor = self._run_attempts(
-                unit.data_source,
-                lambda unit=unit, span=span: self._traced(connection, unit, span),
-                is_query=is_query, pinned=connection, deadline=deadline, span=span,
-            )
-            self._emit("execute", data_source=unit.data_source, unit=unit)
+        for index, (unit, res) in enumerate(zip(group, raw)):
+            self._emit("execute", data_source=ds_name, unit=unit)
             if is_query:
-                rows = cursor.fetchall()
-                if span is not None:
-                    span.attributes["rows"] = len(rows)
-                if heat is not None:
-                    heat.unit_done(unit, time.perf_counter() - t0, cursor, len(rows))
-                results.append(MaterializedResult(cursor.columns, rows))
+                count = len(res.rows)
+                results.append(MaterializedResult(list(res.columns), res.rows))
             else:
-                update_count += max(cursor.rowcount, 0)
-                if span is not None:
-                    span.attributes["rows"] = max(cursor.rowcount, 0)
-                if heat is not None:
-                    heat.unit_done(
-                        unit, time.perf_counter() - t0, cursor, max(cursor.rowcount, 0)
-                    )
+                count = max(res.rowcount, 0)
+                update_count += count
+            if unit_spans:
+                span = unit_spans[index]
+                span.attributes["rows"] = count
+                span.attributes["storage_plan"] = res.plan
+                span.record_simulated(res.cost)
+            if heat is not None:
+                heat.unit_done(unit, wall, res, count)
         return results, update_count
 
     _CLOSED_IN_FLIGHT = "execution engine closed while statement was in flight"
@@ -815,8 +832,8 @@ class ExecutionEngine:
         fail_source: Callable[[str, BaseException], None],
         state_lock: threading.Lock,
     ) -> Callable[..., None]:
-        """One task per pinned (transactional) group: units stay serial on
-        the held connection, whichever worker picks the task up."""
+        """One task per pinned (transactional) group: the group runs as one
+        batch on the held connection, whichever worker picks the task up."""
 
         def task(cancelled: bool = False) -> None:
             if cancelled:
@@ -887,7 +904,7 @@ class ExecutionEngine:
                     cursor = self._run_attempts(
                         ds_name, attempt,
                         is_query=is_query, pinned=None, deadline=deadline,
-                        span=span,
+                        spans=(span,) if span is not None else (),
                     )
                     self._emit("execute", data_source=ds_name, unit=unit)
                     if is_query:
@@ -896,7 +913,7 @@ class ExecutionEngine:
                             span.attributes["rows"] = len(rows)
                         if heat is not None:
                             heat.unit_done(
-                                unit, time.perf_counter() - t0, cursor, len(rows))
+                                unit, time.perf_counter() - t0, cursor.result, len(rows))
                         with state_lock:
                             slots[id(unit)] = MaterializedResult(cursor.columns, rows)
                     else:
@@ -905,7 +922,7 @@ class ExecutionEngine:
                             span.attributes["rows"] = count
                         if heat is not None:
                             heat.unit_done(
-                                unit, time.perf_counter() - t0, cursor, count)
+                                unit, time.perf_counter() - t0, cursor.result, count)
                         with state_lock:
                             slots[id(unit)] = count
             except BaseException as exc:
@@ -971,7 +988,7 @@ class ExecutionEngine:
         t0 = time.perf_counter() if heat is not None else 0.0
         cursor = self._run_attempts(
             unit.data_source, attempt, is_query=is_query, pinned=None,
-            deadline=deadline, span=span,
+            deadline=deadline, spans=(span,) if span is not None else (),
         )
         self._emit("execute", data_source=unit.data_source, unit=unit)
         if span is not None and is_query:
@@ -979,11 +996,11 @@ class ExecutionEngine:
             rows = cursor.fetchall()
             span.attributes["rows"] = len(rows)
             if heat is not None:
-                heat.unit_done(unit, time.perf_counter() - t0, cursor, len(rows))
+                heat.unit_done(unit, time.perf_counter() - t0, cursor.result, len(rows))
             return MaterializedResult(cursor.columns, rows)
         if heat is not None:
             heat.unit_done(
-                unit, time.perf_counter() - t0, cursor,
+                unit, time.perf_counter() - t0, cursor.result,
                 -1 if is_query else max(cursor.rowcount, 0),
             )
         return cursor
@@ -1098,7 +1115,7 @@ class ExecutionEngine:
                 [(stmt, params) for stmt, params, _ in statements])
             for (_stmt, _params, is_query), res in zip(statements, raw):
                 if is_query:
-                    out.append(MaterializedResult(list(res.columns), list(res.rows)))
+                    out.append(MaterializedResult(list(res.columns), res.rows))
                 else:
                     out.append(max(res.rowcount, 0))
         except BaseException as exc:

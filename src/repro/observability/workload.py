@@ -41,6 +41,7 @@ from .metrics import DEFAULT_LATENCY_BUCKETS, SampleFamily, bisect_left
 if TYPE_CHECKING:
     from ..engine.context import StatementContext
     from ..engine.rewriter import ExecutionUnit
+    from ..storage.executor import QueryResult
     from .trace import Trace
 
 __all__ = [
@@ -409,8 +410,9 @@ class _HeatSample:
     """Per-statement carrier handed to the executor for unit accounting.
 
     The executor calls :meth:`unit_done` once per completed execution
-    unit with the unit's wall time and cursor; node heat (wall, simulated
-    cost, rows when known) and storage-plan hit counters accumulate here.
+    unit with the unit's wall time and storage result; node heat (wall,
+    simulated cost, rows when known) and storage-plan hit counters
+    accumulate here.
     """
 
     __slots__ = ("workload", "weight", "storage_units", "storage_hits",
@@ -426,10 +428,9 @@ class _HeatSample:
         self.unknown_rows_key: tuple[str, str, str] | None = None
 
     def unit_done(self, unit: "ExecutionUnit", wall: float,
-                  cursor: Any, rows: int) -> None:
-        result = getattr(cursor, "_result", None)
-        cost = getattr(result, "cost", 0.0) or 0.0
-        plan_status = getattr(result, "plan", "")
+                  result: "QueryResult", rows: int) -> None:
+        cost = result.cost
+        plan_status = result.plan
         workload = self.workload
         key = _unit_key(unit)
         weight = self.weight

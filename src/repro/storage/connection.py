@@ -186,7 +186,7 @@ class Connection:
                         if span is not None:
                             span.record_lock_wait(time.perf_counter() - lock_t0)
                         result, plan_status = execute_planned(self.database, stmt, params, txn)
-                        # workload analytics read this off cursor._result
+                        # workload analytics read it off the result
                         result.plan = plan_status
                         if span is not None:
                             span.attributes["storage_plan"] = plan_status
@@ -270,9 +270,12 @@ class Connection:
         a real engine flushing one dirty page per table), paid under that
         table's ``io_lock`` so hot-table serialization is preserved.
 
-        Pending write I/O is flushed before any COMMIT/ROLLBACK in the
-        batch so the write-before-fsync ordering holds. On a mid-batch
-        error, costs accrued so far are paid and the original exception
+        Each statement's rows are materialized before the next statement
+        runs, so a read sees the state as of its own position in the
+        batch, never a later statement's writes. Pending write I/O is
+        flushed before any COMMIT/ROLLBACK in the batch so the
+        write-before-fsync ordering holds. On a mid-batch error, costs
+        accrued so far are paid and the original exception
         propagates — earlier statements' effects stand, exactly as in
         serial execution (an enclosing transaction's undo still covers
         them).
@@ -291,6 +294,7 @@ class Connection:
                     self._flush_pipeline_costs(pending)
                     pending = []
                 result = self._run(stmt, params, defer_pay=True)
+                result.rows = list(result.rows)
                 results.append(result)
                 pending.append(result)
         finally:
@@ -428,6 +432,11 @@ class Cursor:
     @property
     def rowcount(self) -> int:
         return self._result.rowcount if self._result else -1
+
+    @property
+    def result(self) -> QueryResult | None:
+        """The storage outcome behind this cursor (cost, plan status)."""
+        return self._result
 
     # -- execution ----------------------------------------------------------------
 

@@ -11,7 +11,7 @@ cursors behave like real database cursors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from ..exceptions import ExecutionError, StorageError, UnsupportedSQLError
 from ..sql import ast
@@ -33,7 +33,8 @@ class QueryResult:
     """
 
     columns: list[str] = field(default_factory=list)
-    rows: Iterator[tuple[Any, ...]] = iter(())
+    #: lazy iterator by default; pipelined batches materialize a list
+    rows: Iterable[tuple[Any, ...]] = iter(())
     rowcount: int = -1
     cost: float = 0.0
     #: the table whose write I/O this statement must serialize on (DML only)
@@ -41,6 +42,8 @@ class QueryResult:
     #: the write-I/O slice of ``cost`` — the portion a statement pipeline may
     #: coalesce into one payment per written table (group-commit analog)
     write_cost: float = 0.0
+    #: storage-plan status set by the connection ("hit", "miss", ...)
+    plan: str = ""
 
     def fetch_all(self) -> list[tuple[Any, ...]]:
         return list(self.rows)

@@ -24,6 +24,7 @@ from repro.engine.resilience import ResiliencePolicy
 from repro.exceptions import (
     DeadlineExceededError,
     ExecutionError,
+    TransientError,
     UnsupportedSQLError,
 )
 from repro.sharding import ShardingRule, build_auto_table_rule
@@ -210,6 +211,18 @@ class TestStoragePipeline:
         assert rows[0] == (1, 0)      # first statement applied
         assert rows[1] == (2, 100)    # statement after the error never ran
 
+    def test_read_before_write_sees_old_value(self, slow_write_source):
+        """A read's rows are materialized before the next statement runs:
+        a later write in the batch never leaks into an earlier read."""
+        conn = slow_write_source.connect()
+        results = conn.execute_pipeline([
+            ("SELECT bal FROM acc WHERE id = 1", ()),
+            ("UPDATE acc SET bal = bal + 1 WHERE id = 1", ()),
+        ])
+        assert list(results[0].rows) == [(100,)]
+        assert results[1].rowcount == 1
+        assert conn.execute("SELECT bal FROM acc WHERE id = 1").fetchall() == [(101,)]
+
     def test_transaction_control_inside_batch(self, slow_write_source):
         conn = slow_write_source.connect()
         conn.execute_pipeline([
@@ -276,6 +289,16 @@ class TestEnginePipeline:
         rows = jdbc_connection.execute("SELECT age FROM t_user WHERE uid = 1").fetchall()
         assert rows == [(30,)]
 
+    def test_read_before_write_sees_old_value(self, jdbc_connection):
+        results = jdbc_connection.execute_pipeline([
+            ("SELECT age FROM t_user WHERE uid = 1", ()),
+            ("UPDATE t_user SET age = age + 1 WHERE uid = 1", ()),
+        ])
+        assert results[0].fetchall() == [(30,)]
+        assert results[1].rowcount == 1
+        rows = jdbc_connection.execute("SELECT age FROM t_user WHERE uid = 1").fetchall()
+        assert rows == [(31,)]
+
     def test_control_statements_rejected(self, jdbc_connection):
         for sql in ("BEGIN", "COMMIT", "SET sql_show = true", "SHOW TABLES"):
             with pytest.raises(UnsupportedSQLError):
@@ -291,6 +314,237 @@ class TestEnginePipeline:
         after = engine.executor.metrics.snapshot()
         assert after["pipeline_batches"] == before["pipeline_batches"] + 1
         assert after["pipelined_statements"] == before["pipelined_statements"] + 2
+
+
+# ---------------------------------------------------------------------------
+# Pinned fan-out batches: one storage round trip per held connection
+# ---------------------------------------------------------------------------
+
+
+GRID_SOURCES = ["ds0", "ds1"]
+GRID_TABLES = 4  # per source: every range fans out to 8 units
+GRID_ROWS = [(i, i % 7, f"c{i % 5}") for i in range(1, 49)]
+GRID_RANGES = {
+    "simple": "SELECT c FROM kv WHERE id BETWEEN ? AND ?",
+    "sum": "SELECT SUM(k) FROM kv WHERE id BETWEEN ? AND ?",
+    "order": "SELECT c FROM kv WHERE id BETWEEN ? AND ? ORDER BY c",
+    "distinct": "SELECT DISTINCT c FROM kv WHERE id BETWEEN ? AND ? ORDER BY c",
+}
+
+
+def grid_oracle(kind, low, high):
+    """The range's expected rows, computed in plain Python."""
+    hit = [row for row in GRID_ROWS if low <= row[0] <= high]
+    if kind == "sum":
+        return [(sum(k for _id, k, _c in hit),)]
+    values = sorted((c,) for _id, _k, c in hit)
+    return sorted(set(values)) if kind == "distinct" else values
+
+
+@pytest.fixture
+def hash_grid():
+    """2 sources x 4 tables on the hash layout, LOCAL transactions, a
+    latency model so every unit has a priced cost, and retries on."""
+    from repro.adaptors import ShardingDataSource, ShardingRuntime
+    from repro.baselines.topology import make_grid_sharding
+
+    sources = {
+        name: DataSource(name, latency=LatencyModel(base=50e-6, commit_io=0.0))
+        for name in GRID_SOURCES
+    }
+    rule = make_grid_sharding([("kv", "id")], GRID_SOURCES, GRID_TABLES, layout="hash")
+    runtime = ShardingRuntime(
+        sources, rule, max_connections_per_query=GRID_TABLES,
+        resilience=ResiliencePolicy(max_retries=2, base_backoff=0.0, seed=1),
+    )
+    conn = ShardingDataSource(runtime).get_connection()
+    conn.execute("CREATE TABLE kv (id INT PRIMARY KEY, k INT, c VARCHAR(16))")
+    conn.execute(
+        "INSERT INTO kv (id, k, c) VALUES " + ", ".join(["(?, ?, ?)"] * len(GRID_ROWS)),
+        [value for row in GRID_ROWS for value in row],
+    )
+    yield runtime, conn
+    conn.close()
+    runtime.close()
+
+
+def run_in_transaction(conn, sql, params=()):
+    conn.begin()
+    try:
+        rows = conn.execute(sql, params).fetchall()
+    finally:
+        conn.commit()
+    return rows
+
+
+def fail_nth_statement(monkeypatch, source, n):
+    """Make the ``n``-th statement on ``source`` from now raise a
+    TransientError once; returns the list of statements seen."""
+    database = source.database
+    original = database.maybe_fail
+    seen = []
+
+    def flaky(operation):
+        if operation == "statement":
+            seen.append(operation)
+            if len(seen) == n:
+                raise TransientError("injected mid-batch fault")
+        original(operation)
+
+    monkeypatch.setattr(database, "maybe_fail", flaky)
+    return seen
+
+
+@pytest.fixture
+def storage_calls(monkeypatch):
+    """Count storage round trips per data source and record every pay()."""
+    from repro.storage import connection as storage_connection
+    from repro.storage.connection import Connection
+
+    calls = {"pipeline": {}, "execute": {}, "priced": [], "paid": []}
+    original_pipeline = Connection.execute_pipeline
+    original_execute = Connection.execute
+    original_pay = storage_connection.pay
+
+    def count(kind, conn):
+        by_source = calls[kind]
+        by_source[conn.data_source.name] = by_source.get(conn.data_source.name, 0) + 1
+
+    def execute_pipeline(self, statements):
+        count("pipeline", self)
+        results = original_pipeline(self, statements)
+        calls["priced"].extend(result.cost for result in results)
+        return results
+
+    def execute(self, sql, params=()):
+        count("execute", self)
+        return original_execute(self, sql, params)
+
+    def pay(seconds):
+        calls["paid"].append(seconds)
+        original_pay(seconds)
+
+    monkeypatch.setattr(Connection, "execute_pipeline", execute_pipeline)
+    monkeypatch.setattr(Connection, "execute", execute)
+    monkeypatch.setattr(storage_connection, "pay", pay)
+    return calls
+
+
+class TestPinnedFanOutBatches:
+    @pytest.mark.parametrize("kind", sorted(GRID_RANGES))
+    def test_rows_match_autocommit_and_oracle(self, hash_grid, kind):
+        _runtime, conn = hash_grid
+        for low, high in ((1, 48), (5, 24), (30, 31)):
+            expected = grid_oracle(kind, low, high)
+            autocommit = conn.execute(GRID_RANGES[kind], (low, high)).fetchall()
+            pinned = run_in_transaction(conn, GRID_RANGES[kind], (low, high))
+            if kind == "simple":  # no ORDER BY: shard order is arbitrary
+                autocommit, pinned = sorted(autocommit), sorted(pinned)
+            assert autocommit == expected
+            assert pinned == expected
+
+    def test_one_round_trip_and_one_pay_per_source(self, hash_grid, storage_calls):
+        _runtime, conn = hash_grid
+        sql, params = GRID_RANGES["sum"], (1, 48)
+        conn.execute(sql, params)  # autocommit: one sleep per unit
+        per_unit_paid = list(storage_calls["paid"])
+        assert len(per_unit_paid) == len(GRID_SOURCES) * GRID_TABLES
+
+        conn.begin()
+        for recorded in storage_calls.values():
+            recorded.clear()
+        conn.execute(sql, params).fetchall()
+        assert storage_calls["pipeline"] == {name: 1 for name in GRID_SOURCES}
+        assert storage_calls["execute"] == {}
+        assert len(storage_calls["paid"]) == len(GRID_SOURCES)
+        assert len(storage_calls["priced"]) == len(GRID_SOURCES) * GRID_TABLES
+        # the batch prices exactly what the units priced one by one
+        assert sum(storage_calls["paid"]) == pytest.approx(sum(storage_calls["priced"]))
+        assert sum(storage_calls["paid"]) == pytest.approx(sum(per_unit_paid))
+        conn.commit()
+
+    def test_sampled_spans_and_heat_match_per_unit(self, hash_grid):
+        runtime, conn = hash_grid
+        obs = runtime.observability
+        obs.tracer.enabled = True
+        obs.stage_sample_every = 1
+        heat = obs.workload.heat
+        sql, params = GRID_RANGES["order"], (3, 40)
+
+        def observe(run):
+            heat.clear()
+            run()
+            trace = obs.tracer.recent()[0]
+            spans = {
+                (span.attributes["data_source"], span.attributes["sql"]): span
+                for span in trace.spans if span.name == "storage"
+            }
+            nodes = {key: node.simulated for key, node in heat.nodes.items()}
+            return spans, nodes
+
+        per_unit_spans, per_unit_heat = observe(lambda: conn.execute(sql, params).fetchall())
+        pinned_spans, pinned_heat = observe(lambda: run_in_transaction(conn, sql, params))
+
+        assert len(pinned_spans) == len(GRID_SOURCES) * GRID_TABLES
+        assert pinned_spans.keys() == per_unit_spans.keys()
+        for key, span in pinned_spans.items():
+            assert span.finished and span.error is None
+            assert span.attributes["mode"] == "connection_strictly"
+            assert span.attributes["storage_plan"] in ("hit", "miss")
+            assert span.attributes["rows"] == per_unit_spans[key].attributes["rows"]
+            assert span.simulated > 0
+            assert span.simulated == pytest.approx(per_unit_spans[key].simulated)
+        assert pinned_heat.keys() == per_unit_heat.keys()
+        for key, simulated in pinned_heat.items():
+            assert simulated > 0
+            assert simulated == pytest.approx(per_unit_heat[key])
+
+    def test_transient_fault_mid_batch_retried_once(self, hash_grid, monkeypatch):
+        runtime, conn = hash_grid
+        metrics = runtime.engine.executor.metrics
+        conn.begin()
+        seen = fail_nth_statement(monkeypatch, runtime.data_sources["ds0"], 3)
+        retries = metrics.retries
+        rows = conn.execute(GRID_RANGES["sum"], (1, 48)).fetchall()
+        conn.commit()
+        assert rows == grid_oracle("sum", 1, 48)
+        assert metrics.retries == retries + 1
+        # two units ran, the third failed, then the whole batch re-ran
+        assert len(seen) == 3 + GRID_TABLES
+
+    def test_failing_dml_batch_not_retried_and_undone(self, hash_grid, monkeypatch):
+        runtime, conn = hash_grid
+        metrics = runtime.engine.executor.metrics
+        conn.begin()
+        seen = fail_nth_statement(monkeypatch, runtime.data_sources["ds0"], 3)
+        retries, giveups = metrics.retries, metrics.giveups
+        with pytest.raises(TransientError):
+            conn.execute("UPDATE kv SET k = k + 1000 WHERE id BETWEEN 1 AND 48")
+        assert len(seen) == 3  # never retried
+        assert metrics.retries == retries
+        assert metrics.giveups == giveups + 1
+        # the earlier units' writes stand inside the transaction ...
+        inside = dict(conn.execute("SELECT id, k FROM kv").fetchall())
+        updated = {row_id for row_id, k in inside.items() if k >= 1000}
+        even = {row_id for row_id, _k, _c in GRID_ROWS if row_id % 2 == 0}
+        assert 0 < len(updated & even) < len(even)  # ds0 stopped mid-batch
+        conn.rollback()
+        # ... and the transaction's undo covers them
+        after = sorted(conn.execute("SELECT id, k, c FROM kv").fetchall())
+        assert after == GRID_ROWS
+
+    def test_show_execution_metrics_counts_pinned_batches(self, hash_grid):
+        _runtime, conn = hash_grid
+
+        def snapshot():
+            return dict(conn.execute("SHOW EXECUTION METRICS").fetchall())
+
+        before = snapshot()
+        run_in_transaction(conn, GRID_RANGES["distinct"], (1, 48))
+        after = snapshot()
+        assert after["pipeline_batches"] == before["pipeline_batches"] + len(GRID_SOURCES)
+        assert after["pipelined_statements"] == (
+            before["pipelined_statements"] + len(GRID_SOURCES) * GRID_TABLES)
 
 
 # ---------------------------------------------------------------------------
